@@ -1182,10 +1182,8 @@ func (a *Analyzer) computeCandidates(n *node) ([]candidate, bool, error) {
 		if a.inputBlocked(n, p, ev) {
 			continue
 		}
-		for _, ti := range a.spec.When(fsm, p) {
-			if ti.WhenInter != ev.Inter {
-				continue
-			}
+		cs := a.spec.Candidates(fsm, p, ev.Inter, ev.Params)
+		for ti := cs.Next(); ti != nil; ti = cs.Next() {
 			ok, err := a.provided(state, ti, ev.Params)
 			if err != nil {
 				return nil, false, err

@@ -69,7 +69,8 @@ func TestSpecSharedByConcurrentAnalyzers(t *testing.T) {
 }
 
 // TestSpecConcurrentTableReads hammers the read-only lookup surface (the
-// Generate tables and trace-event resolution) from many goroutines.
+// Generate tables, the candidate index and trace-event resolution) from many
+// goroutines.
 func TestSpecConcurrentTableReads(t *testing.T) {
 	spec, err := efsm.Compile("echo", specs.Echo)
 	if err != nil {
@@ -94,9 +95,15 @@ func TestSpecConcurrentTableReads(t *testing.T) {
 					_ = spec.StateName(st)
 				}
 				for _, ev := range tr.Events {
-					if _, err := spec.ResolveEvent(ev); err != nil {
+					re, err := spec.ResolveEvent(ev)
+					if err != nil {
 						t.Error(err)
 						return
+					}
+					for st := 0; st < spec.NumStates(); st++ {
+						cs := spec.Candidates(st, re.IP, re.Inter, re.Params)
+						for cs.Next() != nil {
+						}
 					}
 				}
 			}

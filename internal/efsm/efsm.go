@@ -1,8 +1,9 @@
 // Package efsm turns a checked Estelle program (sema.Program) into the
 // executable static model the analyzer searches over: FSM states, interaction
-// points, and transition declarations indexed by (state, interaction point)
-// so that the Generate operation of the search (§2.2 of the paper) is a table
-// lookup rather than a scan.
+// points, and transition declarations indexed by (state, interaction point,
+// interaction) and by the constant their guard compares an input parameter
+// with, so that the Generate operation of the search (§2.2 of the paper) is a
+// table lookup rather than a scan.
 //
 // It also provides the codec between trace-file parameter text and run-time
 // values, shared by the analyzer and the implementation-generation mode.
@@ -12,6 +13,8 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,6 +22,7 @@ import (
 	"repro/internal/estelle/ast"
 	"repro/internal/estelle/parser"
 	"repro/internal/estelle/sema"
+	"repro/internal/estelle/token"
 	"repro/internal/estelle/types"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -55,6 +59,9 @@ type Spec struct {
 	// spontaneous[state] lists the transitions without a when clause enabled
 	// in that FSM state.
 	spontaneous [][]*sema.TransInfo
+	// cands[state][ip] splits when[state][ip] by interaction and indexes each
+	// part on a constant-equality guard (see Candidates).
+	cands [][][]candGroup
 
 	ipByName map[string]int
 }
@@ -80,6 +87,13 @@ func New(prog *sema.Program) *Spec {
 			} else if ti.WhenIPIndex >= 0 {
 				s.when[st][ti.WhenIPIndex] = append(s.when[st][ti.WhenIPIndex], ti)
 			}
+		}
+	}
+	s.cands = make([][][]candGroup, nStates)
+	for st := range s.when {
+		s.cands[st] = make([][]candGroup, nIPs)
+		for ip, list := range s.when[st] {
+			s.cands[st][ip] = groupCandidates(prog.Info, list)
 		}
 	}
 	for _, ip := range prog.IPs {
@@ -159,6 +173,196 @@ func (s *Spec) When(state, ip int) []*sema.TransInfo { return s.when[state][ip] 
 
 // Spontaneous returns the spontaneous transitions enabled in state.
 func (s *Spec) Spontaneous(state int) []*sema.TransInfo { return s.spontaneous[state] }
+
+// Candidates returns the when-clause transitions of (state, ip) that accept
+// an input of interaction inter whose guards can hold for the parameter
+// values params, in declaration order. It is When(state, ip) filtered by
+// interaction, minus the transitions a constant-equality guard rules out:
+// a transition whose provided clause is "p = c and ..." (or "c = p and ...",
+// any and-nesting, p an ordinal interaction parameter, c a literal or
+// constant) is omitted when params binds p to a defined value other than c.
+// The VM evaluates the left operand of and first and stops on a defined
+// false, so every omitted guard would have evaluated to a defined false
+// without touching anything else: skipping it cannot hide a fault, a runtime
+// error or an undefined (partial-mode) result.
+func (s *Spec) Candidates(state, ip int, inter *sema.Interaction, params []vm.Value) Cands {
+	for i := range s.cands[state][ip] {
+		g := &s.cands[state][ip][i]
+		if g.inter != inter {
+			continue
+		}
+		if g.slot < 0 || g.slot >= len(params) || params[g.slot].Undef {
+			return Cands{a: g.all}
+		}
+		return Cands{a: g.lookup(params[g.slot].I), b: g.rest}
+	}
+	return Cands{}
+}
+
+// Cands is the result of Candidates: the merge of two lists that are each in
+// declaration order.
+type Cands struct{ a, b []*sema.TransInfo }
+
+// Next returns the next candidate in declaration order, or nil after the last.
+func (c *Cands) Next() *sema.TransInfo {
+	var ti *sema.TransInfo
+	if len(c.a) > 0 && (len(c.b) == 0 || c.a[0].Index < c.b[0].Index) {
+		ti, c.a = c.a[0], c.a[1:]
+	} else if len(c.b) > 0 {
+		ti, c.b = c.b[0], c.b[1:]
+	}
+	return ti
+}
+
+// candGroup indexes the when-clause transitions of one (state, IP,
+// interaction) on the parameter slot that the most of their guards compare
+// with a constant.
+type candGroup struct {
+	inter *sema.Interaction
+	all   []*sema.TransInfo // every transition of the group
+	slot  int               // discriminating parameter, or -1 if none
+	// keyed holds the transitions keyed on slot, sorted stably by their
+	// constants vals; rest holds the others.
+	keyed []*sema.TransInfo
+	vals  []int64
+	rest  []*sema.TransInfo
+}
+
+// lookup returns the transitions keyed on constant v, in declaration order.
+func (g *candGroup) lookup(v int64) []*sema.TransInfo {
+	lo, _ := slices.BinarySearch(g.vals, v)
+	hi := lo
+	for hi < len(g.vals) && g.vals[hi] == v {
+		hi++
+	}
+	return g.keyed[lo:hi]
+}
+
+// groupCandidates splits a (state, IP) transition list by interaction and
+// builds each part's index. Every list keeps the order of list.
+func groupCandidates(info *sema.Info, list []*sema.TransInfo) []candGroup {
+	if len(list) == 0 {
+		return nil
+	}
+	groups := make([]candGroup, 0, len(list[0].WhenInter.Channel.Interactions))
+	for _, ti := range list {
+		i := 0
+		for i < len(groups) && groups[i].inter != ti.WhenInter {
+			i++
+		}
+		if i == len(groups) {
+			groups = append(groups, candGroup{inter: ti.WhenInter, slot: -1})
+		}
+		groups[i].all = append(groups[i].all, ti)
+	}
+	for i := range groups {
+		groups[i].index(info)
+	}
+	return groups
+}
+
+// index picks the parameter slot the most guards of g are keyed on and
+// sorts the transitions keyed on it by constant.
+func (g *candGroup) index(info *sema.Info) {
+	var count []int
+	for _, ti := range g.all {
+		if slot, _, ok := guardKey(info, ti); ok {
+			if count == nil {
+				count = make([]int, len(g.inter.Params))
+			}
+			count[slot]++
+		}
+	}
+	for slot, n := range count {
+		if n > 0 && (g.slot < 0 || n > count[g.slot]) {
+			g.slot = slot
+		}
+	}
+	if g.slot < 0 {
+		return
+	}
+	g.keyed = make([]*sema.TransInfo, 0, count[g.slot])
+	g.vals = make([]int64, 0, count[g.slot])
+	for _, ti := range g.all {
+		if slot, val, ok := guardKey(info, ti); ok && slot == g.slot {
+			g.keyed = append(g.keyed, ti)
+			g.vals = append(g.vals, val)
+		} else {
+			g.rest = append(g.rest, ti)
+		}
+	}
+	sort.Stable(byConst{g})
+}
+
+// byConst orders a group's keyed transitions by constant.
+type byConst struct{ g *candGroup }
+
+func (b byConst) Len() int           { return len(b.g.vals) }
+func (b byConst) Less(i, j int) bool { return b.g.vals[i] < b.g.vals[j] }
+func (b byConst) Swap(i, j int) {
+	b.g.vals[i], b.g.vals[j] = b.g.vals[j], b.g.vals[i]
+	b.g.keyed[i], b.g.keyed[j] = b.g.keyed[j], b.g.keyed[i]
+}
+
+// guardKey reports whether ti's guard starts with a constant-equality test
+// on one of its interaction parameters: the leftmost operand of its and
+// chain is "p = c" or "c = p", with p an ordinal interaction parameter of ti
+// and c an integer, boolean or character literal or a declared constant.
+func guardKey(info *sema.Info, ti *sema.TransInfo) (slot int, val int64, ok bool) {
+	x := ti.Provided
+	for {
+		b, isAnd := x.(*ast.BinaryExpr)
+		if !isAnd || b.Op != token.AND {
+			break
+		}
+		x = b.X
+	}
+	eq, isEq := x.(*ast.BinaryExpr)
+	if !isEq || eq.Op != token.EQ {
+		return 0, 0, false
+	}
+	if slot, ok = paramSlot(info, ti, eq.X); ok {
+		val, ok = constValue(info, eq.Y)
+	} else if slot, ok = paramSlot(info, ti, eq.Y); ok {
+		val, ok = constValue(info, eq.X)
+	}
+	return slot, val, ok
+}
+
+func paramSlot(info *sema.Info, ti *sema.TransInfo, x ast.Expr) (int, bool) {
+	id, ok := x.(*ast.Ident)
+	if !ok {
+		return 0, false
+	}
+	vs, ok := info.Uses[id].(*sema.VarSym)
+	if !ok || vs.Kind != sema.InterParamVar || vs.Slot >= len(ti.ParamSyms) ||
+		ti.ParamSyms[vs.Slot] != vs || !vs.Type.IsOrdinal() {
+		return 0, false
+	}
+	return vs.Slot, true
+}
+
+// constValue returns the ordinal the VM gives a constant operand.
+func constValue(info *sema.Info, x ast.Expr) (int64, bool) {
+	switch x := x.(type) {
+	case *ast.IntLit:
+		return x.Value, true
+	case *ast.BoolLit:
+		if x.Value {
+			return 1, true
+		}
+		return 0, true
+	case *ast.CharLit:
+		return int64(x.Value), true
+	case *ast.Ident:
+		c, ok := info.Uses[x].(*sema.ConstSym)
+		if !ok || sema.NilConst(c) || c.Type == nil || !c.Type.IsOrdinal() {
+			return 0, false
+		}
+		return c.Val, true
+	}
+	return 0, false
+}
 
 // HasWhenOn reports whether any transition in state has a when clause on ip;
 // this is the PG-node criterion of §3.1.1 (a transition might have been

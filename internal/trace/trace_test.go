@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,27 @@ eof
 	}
 	if Format(tr2) != Format(tr) {
 		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", Format(tr), Format(tr2))
+	}
+}
+
+// TestReadShortTraceAllocBytes bounds what ReadString allocates for a short
+// trace: the line scanner must grow its buffer on demand, not start with a
+// zeroed 64 KiB one.
+func TestReadShortTraceAllocBytes(t *testing.T) {
+	const src = "in U TCONreq\nout N CR\nin N CC\nout U TCONconf\nin U TDTreq d=3\nout N DT d=3\neof\n"
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRun > 16<<10 {
+		t.Errorf("ReadString of a %d-byte trace allocates %d bytes per call, want <= 16 KiB", len(src), perRun)
 	}
 }
 

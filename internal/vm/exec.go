@@ -139,11 +139,13 @@ func (e *FaultError) Error() string {
 }
 
 // contain is deferred around VM entry points to convert an escaping panic
-// into a *FaultError. The executor's transient fields are left dirty, but
-// begin() fully resets them on the next entry.
-func contain(op string, err *error) {
+// into a *FaultError whose Op is what+name. The two parts are joined only
+// when a panic is recovered: guards and transitions run millions of times per
+// search, faults almost never. The executor's transient fields are left
+// dirty, but begin() fully resets them on the next entry.
+func contain(what, name string, err *error) {
 	if r := recover(); r != nil {
-		*err = &FaultError{Op: op, Panic: r, Stack: debug.Stack()}
+		*err = &FaultError{Op: what + name, Panic: r, Stack: debug.Stack()}
 	}
 }
 
@@ -177,7 +179,7 @@ func (e *Exec) NewState() *State {
 // RunInit creates a fresh state and executes the initialize transition,
 // returning the state and any outputs the initialize block produced.
 func (e *Exec) RunInit() (st *State, outs []Output, err error) {
-	defer contain("initialize transition", &err)
+	defer contain("initialize transition", "", &err)
 	st = e.NewState()
 	e.begin(st, nil, nil)
 	defer e.end()
@@ -197,7 +199,7 @@ func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok b
 	if ti.Provided == nil {
 		return true, nil
 	}
-	defer contain("provided clause of "+ti.Name, &err)
+	defer contain("provided clause of ", ti.Name, &err)
 	e.begin(st, params, nil)
 	defer e.end()
 	v, err := e.eval(ti.Provided)
@@ -216,7 +218,7 @@ func (e *Exec) EvalProvided(st *State, ti *sema.TransInfo, params []Value) (ok b
 // if it needs to backtrack. Execute must not be used in partial mode when the
 // block may fork; use ExecuteForked there.
 func (e *Exec) Execute(st *State, ti *sema.TransInfo, params []Value) (outs []Output, err error) {
-	defer contain("transition "+ti.Name, &err)
+	defer contain("transition ", ti.Name, &err)
 	e.begin(st, params, nil)
 	defer e.end()
 	if e.PreTransition != nil {
@@ -254,7 +256,7 @@ func (e *Exec) ExecuteForked(st *State, ti *sema.TransInfo, params []Value) ([]T
 		// Each decision vector executes behind its own panic barrier so a
 		// fault on one branch leaves the siblings explorable.
 		outs, used, err := func() (outs []Output, used int, err error) {
-			defer contain("transition "+ti.Name, &err)
+			defer contain("transition ", ti.Name, &err)
 			e.begin(snap, params, d)
 			defer e.end()
 			if e.PreTransition != nil {

@@ -68,6 +68,48 @@ trans from S0 to S0 when P.m name T1: begin g := v end;
 	}
 }
 
+// TestFaultOpText pins the Op text of contained faults: the guard, the
+// in-place transition and the forked transition each name what was running.
+func TestFaultOpText(t *testing.T) {
+	prog := compileBody(t, `
+var g : integer;
+state S0;
+initialize to S0 begin g := 0 end;
+trans from S0 to S0 when P.m provided v = 1 name T1: begin g := v end;
+`)
+	e := New(prog)
+	st, _, err := e.RunInit()
+	if err != nil {
+		t.Fatalf("init: %v", err)
+	}
+	ti := prog.Trans[0]
+	faultOp := func(err error) string {
+		t.Helper()
+		fe, ok := err.(*FaultError)
+		if !ok {
+			t.Fatalf("err = %v (%T), want *FaultError", err, err)
+		}
+		return fe.Op
+	}
+
+	// A parameter value with no type makes the guard's comparison panic
+	// inside the VM.
+	_, err = e.EvalProvided(st, ti, []Value{{}})
+	if op := faultOp(err); op != "provided clause of T1" {
+		t.Errorf("guard fault Op = %q, want %q", op, "provided clause of T1")
+	}
+
+	e.PreTransition = func(string) { panic("boom") }
+	_, err = e.Execute(st, ti, []Value{MakeInt(1)})
+	if op := faultOp(err); op != "transition T1" {
+		t.Errorf("transition fault Op = %q, want %q", op, "transition T1")
+	}
+	_, err = e.ExecuteForked(st, ti, []Value{MakeInt(1)})
+	if op := faultOp(err); op != "transition T1" {
+		t.Errorf("forked transition fault Op = %q, want %q", op, "transition T1")
+	}
+}
+
 // TestHeapBudget: a transition that allocates without bound hits the
 // MaxHeapCells limit as a diagnosed runtime error instead of exhausting
 // process memory.
