@@ -1328,7 +1328,7 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 		a.stats.TE++
 		a.noteFire(n, c, via.EventSeq)
 		base := a.stateOf(n)
-		results, err := a.exec.ExecuteForked(base, c.ti, cloneParams(c.params))
+		results, err := a.exec.ExecuteForked(base, c.ti, c.params)
 		if err != nil {
 			if a.containedErr(err) {
 				a.notePrune(n.depth+1, c.ti.Name, "infeasible")
@@ -1393,7 +1393,7 @@ func (a *Analyzer) executeCandidate(n *node, c candidate, curOwner **node) (*nod
 
 	a.stats.TE++
 	a.noteFire(n, c, via.EventSeq)
-	outs, err := a.exec.Execute(st, c.ti, cloneParams(c.params))
+	outs, err := a.exec.Execute(st, c.ti, c.params)
 	if err != nil {
 		if a.containedErr(err) {
 			a.notePrune(n.depth+1, c.ti.Name, "infeasible")
@@ -1495,17 +1495,6 @@ func (a *Analyzer) hashNode(st *vm.State, n *node) uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-func cloneParams(ps []vm.Value) []vm.Value {
-	if ps == nil {
-		return nil
-	}
-	out := make([]vm.Value, len(ps))
-	for i := range ps {
-		out[i] = ps[i].Copy()
-	}
-	return out
 }
 
 // adoptSeed turns a partial-mode seed into a child node.

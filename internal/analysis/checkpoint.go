@@ -343,7 +343,7 @@ func (a *Analyzer) replay(ck *CheckpointState, cut int) (*node, error) {
 			c.params = ev.Params
 		}
 		a.stats.TE++
-		outs, err := a.exec.Execute(st, ti, cloneParams(c.params))
+		outs, err := a.exec.Execute(st, ti, c.params)
 		if err != nil {
 			return nil, fmt.Errorf("%w: replaying %q: %v", ErrCheckpointMismatch, ti.Name, err)
 		}

@@ -494,7 +494,7 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 
 	wa.stats.TE++
 	wa.noteFire(n, c, via.EventSeq)
-	outs, err := wa.exec.Execute(st, c.ti, cloneParams(c.params))
+	outs, err := wa.exec.Execute(st, c.ti, c.params)
 	if err != nil {
 		if wa.containedErr(err) {
 			w.harvestFaults(childKey + rankExecFault)

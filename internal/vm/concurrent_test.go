@@ -6,6 +6,7 @@
 package vm_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -190,5 +191,83 @@ func TestFPSetConcurrentCollisionInjection(t *testing.T) {
 	}
 	if c := s.Collisions(); c < 1 {
 		t.Fatalf("Collisions = %d, want >= 1 (alpha vs beta share the forced hash)", c)
+	}
+}
+
+// TestConcurrentFirstUse: compiled code is published per program on the
+// first use of each transition, guard and routine. Goroutines, each with a
+// fresh Exec over one freshly compiled program, reach those first uses at
+// the same moment; every one must get working code and end in the same
+// state. Under -race this checks the publication.
+func TestConcurrentFirstUse(t *testing.T) {
+	const workers = 8
+	// Each run: connect, buffer in both directions, drain through the
+	// guarded transitions, release.
+	script := []struct {
+		name  string
+		param int64 // < 0: no parameters
+	}{
+		{"T1", -1}, {"T2", -1}, {"T13", 5}, {"T15", 6}, {"T13", 7},
+		{"T14", -1}, {"T16", -1}, {"T15", 8}, {"T17", -1},
+	}
+	for round := 0; round < 5; round++ {
+		spec, err := efsm.Compile("tp0", specs.TP0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]*sema.TransInfo)
+		for _, ti := range spec.Prog.Trans {
+			byName[ti.Name] = ti
+		}
+		start := make(chan struct{})
+		fps := make([]string, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				e := vm.New(spec.Prog)
+				e.Partial = g%2 == 1
+				<-start
+				st, _, err := e.RunInit()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var outs []string
+				for _, s := range script {
+					ti := byName[s.name]
+					var params []vm.Value
+					if s.param >= 0 {
+						params = []vm.Value{vm.MakeInt(s.param)}
+					}
+					// Every guard of the transition's state, then the
+					// transition itself.
+					for _, other := range spec.Prog.Trans {
+						if _, err := e.EvalProvided(st, other, params); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					results, err := e.ExecuteForked(st, ti, params)
+					if err != nil || len(results) != 1 {
+						t.Errorf("%s: %d results, %v", s.name, len(results), err)
+						return
+					}
+					st = results[0].State
+					for _, o := range results[0].Outputs {
+						outs = append(outs, o.String())
+					}
+				}
+				fps[g] = strings.Join(outs, ",") + "|" + st.Fingerprint()
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g := 1; g < workers; g++ {
+			if fps[g] != fps[0] {
+				t.Fatalf("round %d: worker %d ended in %q, worker 0 in %q", round, g, fps[g], fps[0])
+			}
+		}
 	}
 }

@@ -18,6 +18,78 @@ type cell struct {
 	gen uint64
 }
 
+// newCell allocates a cell for a composite value of n elements. Small
+// element arrays share the cell's allocation: heap cells are mostly small
+// records (list nodes), so new() and the copy-on-write in Get cost one
+// allocation instead of two.
+func newCell(n int) (*cell, []Value) {
+	switch n {
+	case 1:
+		x := new(struct {
+			c cell
+			e [1]Value
+		})
+		return &x.c, x.e[:]
+	case 2:
+		x := new(struct {
+			c cell
+			e [2]Value
+		})
+		return &x.c, x.e[:]
+	case 3:
+		x := new(struct {
+			c cell
+			e [3]Value
+		})
+		return &x.c, x.e[:]
+	case 4:
+		x := new(struct {
+			c cell
+			e [4]Value
+		})
+		return &x.c, x.e[:]
+	}
+	return new(cell), make([]Value, n)
+}
+
+// zeroCell returns a cell holding Zero(t, undef).
+func zeroCell(t *types.Type, undef bool, gen uint64) *cell {
+	var elem func(i int) *types.Type
+	n := 0
+	switch t.Kind {
+	case types.Array:
+		n, elem = t.ArrayLen(), func(int) *types.Type { return t.Elem }
+	case types.Record:
+		n, elem = len(t.Fields), func(i int) *types.Type { return t.Fields[i].Type }
+	default:
+		return &cell{v: Zero(t, undef), gen: gen}
+	}
+	c, elems := newCell(n)
+	for i := range elems {
+		elems[i] = Zero(elem(i), undef)
+	}
+	c.v, c.gen = Value{T: t, Elems: elems}, gen
+	return c
+}
+
+// copyCell returns a cell holding v.Copy().
+func copyCell(v *Value, gen uint64) *cell {
+	if v.Elems == nil {
+		return &cell{v: v.Copy(), gen: gen}
+	}
+	c, elems := newCell(len(v.Elems))
+	for i := range elems {
+		elems[i] = v.Elems[i].Copy()
+	}
+	c.v, c.gen = *v, gen
+	c.v.Elems = elems
+	if v.Words != nil {
+		c.v.Words = make([]uint64, len(v.Words))
+		copy(c.v.Words, v.Words)
+	}
+	return c
+}
+
 // Heap models Estelle dynamic memory (new/dispose). Addresses are opaque
 // positive integers; 0 is nil. The heap supports snapshot/restore, which is
 // what makes backtracking over transitions that allocate memory possible
@@ -86,7 +158,7 @@ func (h *Heap) Alloc(t *types.Type, undef bool) int64 {
 	h.ensureOwnedMap()
 	addr := h.next
 	h.next++
-	h.cells[addr] = &cell{v: Zero(t, undef), gen: h.gen}
+	h.cells[addr] = zeroCell(t, undef, h.gen)
 	h.Allocs++
 	return addr
 }
@@ -100,7 +172,7 @@ func (h *Heap) Get(addr int64) (*Value, error) {
 	}
 	if c.gen != h.gen {
 		h.ensureOwnedMap()
-		c = &cell{v: c.v.Copy(), gen: h.gen}
+		c = copyCell(&c.v, h.gen)
 		h.cells[addr] = c
 	}
 	return &c.v, nil
