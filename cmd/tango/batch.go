@@ -274,19 +274,10 @@ func openResume(path string, meta checkpoint.BatchMeta, n int, ew io.Writer) (*c
 		j.Close()
 		return nil, nil, fmt.Errorf("resume: journal belongs to a different run (specification, corpus or order mode changed)")
 	}
-	done := make(map[int]obs.BatchItem)
-	for _, rec := range recs[1:] {
-		if rec.Kind != checkpoint.KindBatchItem {
-			continue
-		}
-		var e checkpoint.BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			j.Close()
-			return nil, nil, fmt.Errorf("resume: %w", err)
-		}
-		if e.Index >= 0 && e.Index < n {
-			done[e.Index] = e.Item
-		}
+	done, err := checkpoint.BatchRows(recs[1:], n)
+	if err != nil {
+		j.Close()
+		return nil, nil, fmt.Errorf("resume: %s: %w", path, err)
 	}
 	fmt.Fprintf(ew, "tango: resume: restored %d finished rows from %s\n", len(done), path)
 	return j, done, nil

@@ -134,8 +134,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		e := BatchEntry{Index: i, Item: obs.BatchItem{Trace: "t", ExitClass: i}}
-		if err := j.Append(KindBatchItem, e); err != nil {
+		if err := j.AppendBatchRow(i, obs.BatchItem{Trace: "t", ExitClass: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,13 +152,13 @@ func TestJournalAppendReplay(t *testing.T) {
 	if len(recs) != 4 || recs[0].Kind != KindBatchMeta {
 		t.Fatalf("got %d records, first kind %q", len(recs), recs[0].Kind)
 	}
-	for i, rec := range recs[1:] {
-		var e BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Index != i || e.Item.ExitClass != i {
-			t.Fatalf("record %d: %+v", i, e)
+	rows, err := BatchRows(recs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if row, ok := rows[i]; !ok || row.ExitClass != i || row.Trace != "t" {
+			t.Fatalf("row %d: %+v (present %v)", i, row, ok)
 		}
 	}
 }
@@ -173,10 +172,10 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(KindBatchItem, BatchEntry{Index: 0}); err != nil {
+	if err := j.Append(KindBatchRow, BatchEntry{Index: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(KindBatchItem, BatchEntry{Index: 1}); err != nil {
+	if err := j.Append(KindBatchRow, BatchEntry{Index: 1}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -204,7 +203,7 @@ func TestJournalTornTail(t *testing.T) {
 	if len(recs2) != 1 {
 		t.Fatalf("reopen replayed %d records, want 1", len(recs2))
 	}
-	if err := j2.Append(KindBatchItem, BatchEntry{Index: 2}); err != nil {
+	if err := j2.Append(KindBatchRow, BatchEntry{Index: 2}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -233,7 +232,7 @@ func TestJournalMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.Append(KindBatchItem, BatchEntry{Index: i}); err != nil {
+		if err := j.Append(KindBatchRow, BatchEntry{Index: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,5 +247,73 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	}
 	if _, _, err := ReplayJournal(path); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// TestJournalMismatchRowRoundTrip: a row whose expectation was not met
+// (Match=&false) replays with Match still set to false, so a resumed batch
+// counts the mismatch.
+func TestJournalMismatchRowRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.ckpt")
+	j, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	no, yes := false, true
+	rows := []obs.BatchItem{
+		{Trace: "a.trace", Verdict: "valid", Expect: "invalid", Match: &no},
+		{Trace: "b.trace", Verdict: "valid", Expect: "valid", Match: &yes},
+		{Trace: "c.trace", Verdict: "valid"},
+	}
+	for i, row := range rows {
+		if err := j.AppendBatchRow(i, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	recs, _, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BatchRows(recs, len(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range rows {
+		g := got[i]
+		if (g.Match == nil) != (want.Match == nil) || g.Match != nil && *g.Match != *want.Match ||
+			g.Trace != want.Trace || g.Expect != want.Expect {
+			t.Errorf("row %d replayed as %+v (match %v), want %+v (match %v)", i, g, g.Match, want, want.Match)
+		}
+	}
+}
+
+// TestJournalOldRowFormatRejected: a journal whose rows were written in the
+// old gob format, which lost Match=&false, is refused with ErrOldJournal
+// rather than restored with wrong mismatch counts.
+func TestJournalOldRowFormatRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.ckpt")
+	j, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(KindBatchMeta, BatchMeta{NumItems: 1}); err != nil {
+		t.Fatal(err)
+	}
+	no := false
+	old := struct {
+		Index int
+		Item  obs.BatchItem
+	}{0, obs.BatchItem{Trace: "a.trace", Expect: "invalid", Match: &no}}
+	if err := j.Append(KindBatchItem, old); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	recs, _, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BatchRows(recs, 1); !errors.Is(err, ErrOldJournal) {
+		t.Fatalf("err = %v, want ErrOldJournal", err)
 	}
 }

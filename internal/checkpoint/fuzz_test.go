@@ -37,7 +37,7 @@ func FuzzReadSnapshot(f *testing.F) {
 // FuzzReplayJournal: arbitrary bytes must replay without panicking, and any
 // failure must be the typed corruption error.
 func FuzzReplayJournal(f *testing.F) {
-	rec, err := encodeRecord(KindBatchItem, BatchEntry{Index: 3})
+	rec, err := encodeRecord(KindBatchRow, BatchEntry{Index: 3, Row: []byte(`{"trace":"t"}`)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,9 +59,6 @@ func FuzzReplayJournal(f *testing.F) {
 			return
 		}
 		_ = truncated
-		for i := range recs {
-			var e BatchEntry
-			_ = recs[i].Decode(&e)
-		}
+		_, _ = BatchRows(recs, 8)
 	})
 }

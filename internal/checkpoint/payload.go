@@ -1,13 +1,23 @@
 package checkpoint
 
-import "repro/internal/obs"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // The record kinds written by Tango. A snapshot file holds exactly one
 // KindAnalysis record; a batch journal holds one KindBatchMeta record
-// followed by one KindBatchItem record per completed corpus item.
+// followed by one KindBatchRow record per completed corpus item.
 const (
 	KindAnalysis  = "analysis"
 	KindBatchMeta = "batch-meta"
+	KindBatchRow  = "batch-row"
+	// KindBatchItem is the row record of journals written before rows were
+	// journaled as JSON. Its gob payload lost Match=&false, so BatchRows
+	// rejects it instead of restoring rows that miscount mismatches.
 	KindBatchItem = "batch-item"
 )
 
@@ -38,7 +48,53 @@ type BatchMeta struct {
 // tango.batch/1 report byte-identical (after Normalize) to an uninterrupted
 // run: completed items are never re-analyzed, and the analyzer is
 // deterministic for the rest.
+//
+// The row travels as JSON, not gob: gob omits zero values even behind
+// pointers, so a mismatch row's Match=&false would replay as a nil Match and
+// the resumed run would silently miscount mismatches. JSON round-trips the
+// row exactly as the report renders it.
 type BatchEntry struct {
 	Index int
-	Item  obs.BatchItem
+	Row   []byte // obs.BatchItem as JSON
+}
+
+// ErrOldJournal reports a batch journal whose rows are in the gob format
+// that lost expectation mismatches.
+var ErrOldJournal = errors.New("batch journal was written by an older tango whose rows lose expectation mismatches; delete it and rerun the batch")
+
+// AppendBatchRow journals the final row of corpus item index.
+func (j *Journal) AppendBatchRow(index int, row obs.BatchItem) error {
+	data, err := json.Marshal(row)
+	if err != nil {
+		return fmt.Errorf("checkpoint: encode batch row: %w", err)
+	}
+	return j.Append(KindBatchRow, BatchEntry{Index: index, Row: data})
+}
+
+// BatchRows decodes the rows of a replayed batch journal by corpus index,
+// keeping those in [0, n). Other record kinds are skipped; a row in the old
+// gob format fails with ErrOldJournal.
+func BatchRows(recs []Record, n int) (map[int]obs.BatchItem, error) {
+	rows := make(map[int]obs.BatchItem)
+	for i := range recs {
+		switch recs[i].Kind {
+		case KindBatchItem:
+			return nil, ErrOldJournal
+		case KindBatchRow:
+		default:
+			continue
+		}
+		var e BatchEntry
+		if err := recs[i].Decode(&e); err != nil {
+			return nil, err
+		}
+		var row obs.BatchItem
+		if err := json.Unmarshal(e.Row, &row); err != nil {
+			return nil, corruptf("batch row %d: %v", e.Index, err)
+		}
+		if e.Index >= 0 && e.Index < n {
+			rows[e.Index] = row
+		}
+	}
+	return rows, nil
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/checkpoint"
 	"repro/internal/efsm"
-	"repro/internal/obs"
 	"repro/internal/supervise"
 	"repro/internal/workload"
 	"repro/specs"
@@ -122,16 +121,9 @@ func TestSoakSuperviseKillResume(t *testing.T) {
 		if err != nil || truncated {
 			t.Fatalf("seed %d: replay err=%v truncated=%v", seed, err, truncated)
 		}
-		done := map[int]obs.BatchItem{}
-		for _, rec := range recs[:rng.Intn(len(recs)+1)] {
-			if rec.Kind != checkpoint.KindBatchItem {
-				continue
-			}
-			var e checkpoint.BatchEntry
-			if err := rec.Decode(&e); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			done[e.Index] = e.Item
+		done, err := checkpoint.BatchRows(recs[:rng.Intn(len(recs)+1)], len(items))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		resumed, err := supervise.Run(context.Background(), spec, items,
 			supervise.Options{Pool: pool, Done: done})

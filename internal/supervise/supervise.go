@@ -282,8 +282,7 @@ func Run(ctx context.Context, spec *efsm.Spec, items []batch.Item, opts Options)
 			// (drained on cancellation) are this run's placeholders, not
 			// durable verdicts: journaling them would make a resumed run
 			// restore "skipped" forever instead of analyzing the trace.
-			_ = opts.Journal.Append(checkpoint.KindBatchItem,
-				checkpoint.BatchEntry{Index: idx, Item: row})
+			_ = opts.Journal.AppendBatchRow(idx, row)
 		}
 		if p.OnHeartbeat != nil {
 			s.beat(batch.Heartbeat{Worker: row.Worker, Index: idx, Item: row.Trace, Completed: true})

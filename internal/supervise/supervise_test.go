@@ -222,13 +222,9 @@ func TestJournalResumeEquality(t *testing.T) {
 	if len(recs) != len(items) {
 		t.Fatalf("journal has %d rows, want %d", len(recs), len(items))
 	}
-	done := map[int]obs.BatchItem{}
-	for _, rec := range recs[:3] {
-		var e checkpoint.BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			t.Fatal(err)
-		}
-		done[e.Index] = e.Item
+	done, err := checkpoint.BatchRows(recs[:3], len(items))
+	if err != nil {
+		t.Fatal(err)
 	}
 	resumed, err := Run(context.Background(), spec, items, Options{Pool: fullOrder(), Done: done})
 	if err != nil {
@@ -271,16 +267,14 @@ func TestDrainedRowsNotJournaled(t *testing.T) {
 	if err != nil || truncated {
 		t.Fatalf("replay: err=%v truncated=%v", err, truncated)
 	}
-	done := map[int]obs.BatchItem{}
-	for _, rec := range recs {
-		var e checkpoint.BatchEntry
-		if err := rec.Decode(&e); err != nil {
-			t.Fatal(err)
+	done, err := checkpoint.BatchRows(recs, len(items))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range done {
+		if row.Skipped {
+			t.Fatalf("skipped row journaled: %+v", row)
 		}
-		if e.Item.Skipped {
-			t.Fatalf("skipped row journaled: %+v", e.Item)
-		}
-		done[e.Index] = e.Item
 	}
 
 	// A resume with those rows completes the whole corpus with real verdicts,
