@@ -48,7 +48,8 @@ func NewRegistry() *Registry {
 }
 
 // callerSite names the registration call site two frames up (the caller of
-// Counter/Gauge/Histogram).
+// Counter/Gauge/Histogram). It is resolved only when a name is first
+// registered or misused, never on a repeat lookup.
 func callerSite() string {
 	if _, file, line, ok := runtime.Caller(2); ok {
 		return fmt.Sprintf("%s:%d", file, line)
@@ -56,20 +57,16 @@ func callerSite() string {
 	return "unknown"
 }
 
-// register records (or checks) a name's kind under r.mu and panics on
-// cross-kind reuse. Returns the existing meta when the name is known.
-func (r *Registry) register(name, kind, site string, bounds []int64) metricMeta {
+// register records a new name's kind under r.mu, or panics on cross-kind
+// reuse of a known one.
+func (r *Registry) register(name, kind, site string, bounds []int64) {
 	m, ok := r.meta[name]
 	if !ok {
-		m = metricMeta{kind: kind, bounds: bounds, site: site}
-		r.meta[name] = m
-		return m
+		r.meta[name] = metricMeta{kind: kind, bounds: bounds, site: site}
+		return
 	}
-	if m.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q requested as %s at %s but registered as %s at %s",
-			name, kind, site, m.kind, m.site))
-	}
-	return m
+	panic(fmt.Sprintf("obs: metric %q requested as %s at %s but registered as %s at %s",
+		name, kind, site, m.kind, m.site))
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -143,30 +140,28 @@ func (h *Histogram) Buckets() ([]int64, []int64) {
 // Counter returns the named counter, creating it on first use. Panics if the
 // name is already registered as a different kind.
 func (r *Registry) Counter(name string) *Counter {
-	site := callerSite()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, "counter", site, nil)
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	if c, ok := r.counters[name]; ok {
+		return c
 	}
+	r.register(name, "counter", callerSite(), nil)
+	c := &Counter{}
+	r.counters[name] = c
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use. Panics if the
 // name is already registered as a different kind.
 func (r *Registry) Gauge(name string) *Gauge {
-	site := callerSite()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, "gauge", site, nil)
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	if g, ok := r.gauges[name]; ok {
+		return g
 	}
+	r.register(name, "gauge", callerSite(), nil)
+	g := &Gauge{}
+	r.gauges[name] = g
 	return g
 }
 
@@ -177,21 +172,24 @@ func (r *Registry) Gauge(name string) *Gauge {
 // silently returning the first registration would bucket one caller's
 // observations on another caller's scale.
 func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
-	site := callerSite()
-	sorted := append([]int64(nil), bounds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.register(name, "histogram", site, sorted)
 	h, ok := r.hists[name]
+	if ok && (len(bounds) == 0 || equalBounds(bounds, h.bounds)) {
+		return h
+	}
+	sorted := append([]int64(nil), bounds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	if !ok {
+		r.register(name, "histogram", callerSite(), sorted)
 		h = &Histogram{bounds: sorted, counts: make([]atomic.Int64, len(sorted)+1)}
 		r.hists[name] = h
 		return h
 	}
-	if len(bounds) > 0 && !equalBounds(sorted, m.bounds) {
+	if !equalBounds(sorted, h.bounds) {
+		m := r.meta[name]
 		panic(fmt.Sprintf("obs: histogram %q requested with bounds %v at %s but registered with %v at %s",
-			name, sorted, site, m.bounds, m.site))
+			name, sorted, callerSite(), m.bounds, m.site))
 	}
 	return h
 }

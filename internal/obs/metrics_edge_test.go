@@ -165,3 +165,23 @@ func TestRegistryHistogramReuse(t *testing.T) {
 		t.Fatalf("count = %d through an aliased handle, want 1", c.Count())
 	}
 }
+
+// TestRegistryRepeatLookupAllocs: looking up a registered metric again
+// resolves no call site and allocates nothing, so hot paths may fetch
+// handles by name.
+func TestRegistryRepeatLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c")
+	r.Gauge("g")
+	r.Histogram("h", 100, 10)
+	for name, f := range map[string]func(){
+		"counter":           func() { r.Counter("c").Inc() },
+		"gauge":             func() { r.Gauge("g").Set(1) },
+		"histogram":         func() { r.Histogram("h").Observe(5) },
+		"histogram, bounds": func() { r.Histogram("h", 10, 100).Observe(5) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("repeat %s lookup: %.0f allocations, want 0", name, n)
+		}
+	}
+}
