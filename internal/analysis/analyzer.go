@@ -1517,12 +1517,18 @@ func (a *Analyzer) adoptSeed(n *node, sd seed) (*node, bool, error) {
 	return child, true, nil
 }
 
-// childCursors copies n's cursors, consuming c's input event.
+// childCursors copies n's cursors, consuming c's input event. The three
+// copies share one backing array, each capped at its own length.
 func (a *Analyzer) childCursors(n *node, c candidate) (inCur, outCur, synth []int) {
-	inCur = append([]int(nil), n.inCur...)
-	outCur = append([]int(nil), n.outCur...)
+	ni, no := len(n.inCur), len(n.outCur)
+	buf := make([]int, ni+no+len(n.synth))
+	inCur = buf[:ni:ni]
+	outCur = buf[ni : ni+no : ni+no]
+	copy(inCur, n.inCur)
+	copy(outCur, n.outCur)
 	if n.synth != nil {
-		synth = append([]int(nil), n.synth...)
+		synth = buf[ni+no:]
+		copy(synth, n.synth)
 	}
 	switch {
 	case c.eventIdx >= 0:

@@ -60,8 +60,25 @@ const (
 	rankGenFault  = "\x01"
 )
 
-func rankSeg(i int) string {
-	return string([]byte{0x02, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)})
+// childRankKey returns the rank key of candidate i's child under a node
+// whose key is parent: parent + "\x02" + 4-byte big-endian i, built with one
+// allocation because the engine makes one per issued edge.
+func childRankKey(parent string, i int) string {
+	var sb strings.Builder
+	sb.Grow(len(parent) + 5)
+	sb.WriteString(parent)
+	sb.WriteByte(0x02)
+	sb.WriteByte(byte(i >> 24))
+	sb.WriteByte(byte(i >> 16))
+	sb.WriteByte(byte(i >> 8))
+	sb.WriteByte(byte(i))
+	return sb.String()
+}
+
+// parChild lets a generated child and its sidecar share one allocation.
+type parChild struct {
+	n node
+	p parNode
 }
 
 // parFault is a contained execution fault with its rank position, so the
@@ -429,7 +446,7 @@ func (w *parWorker) process(n *node) {
 			return
 		}
 		i := n.next
-		childKey := n.par.rkey + rankSeg(i)
+		childKey := childRankKey(n.par.rkey, i)
 		if e.abandoned(childKey) {
 			// Post-accept: this and every later candidate rank above the
 			// accepted run and cannot be its ancestors.
@@ -497,7 +514,7 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 	outs, err := wa.exec.Execute(st, c.ti, c.params)
 	if err != nil {
 		if wa.containedErr(err) {
-			w.harvestFaults(childKey + rankExecFault)
+			w.harvestFaults(childKey, rankExecFault)
 			vm.ReleaseState(st)
 			e.resolve(n, 1)
 			return nil
@@ -514,16 +531,20 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 		e.resolve(n, 1)
 		return nil
 	}
-	child := &node{
-		parent: n,
-		via:    via,
-		saved:  st, // parallel nodes keep their state in saved until finalize
-		inCur:  inCur,
-		outCur: outCur,
-		synth:  synth,
-		depth:  n.depth + 1,
-		par:    &parNode{rkey: childKey},
+	pc := &parChild{
+		n: node{
+			parent: n,
+			via:    via,
+			saved:  st, // parallel nodes keep their state in saved until finalize
+			inCur:  inCur,
+			outCur: outCur,
+			synth:  synth,
+			depth:  n.depth + 1,
+		},
+		p: parNode{rkey: childKey},
 	}
+	child := &pc.n
+	child.par = &pc.p
 	wa.stats.Nodes++
 	if wa.cov != nil {
 		wa.cov.HitState(st.FSM)
@@ -572,7 +593,7 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 		e.finalizeLeaf(child)
 		return nil
 	}
-	w.harvestFaults(childKey + rankGenFault)
+	w.harvestFaults(childKey, rankGenFault)
 	if len(child.cands) == 0 {
 		e.finalizeLeaf(child) // dead leaf; memo insert happens in finalize
 		return nil
@@ -582,15 +603,16 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 }
 
 // harvestFaults moves the worker's per-op contained-fault messages into the
-// engine's rank-keyed buffer and clears the worker list, so the per-run
-// maxRecordedFaults cap is applied to the rank-ordered merge rather than to
-// whichever worker filled its list first.
-func (w *parWorker) harvestFaults(key string) {
+// engine's rank-keyed buffer under key childKey+class and clears the worker
+// list, so the per-run maxRecordedFaults cap is applied to the rank-ordered
+// merge rather than to whichever worker filled its list first. The key is
+// built only when there is a fault to file.
+func (w *parWorker) harvestFaults(childKey, class string) {
 	wa := w.wa
 	if len(wa.faults) == 0 {
 		return
 	}
-	e := w.e
+	e, key := w.e, childKey+class
 	e.faultsMu.Lock()
 	for i, msg := range wa.faults {
 		if len(e.faults) >= maxCollectedFaults {

@@ -184,7 +184,7 @@ func TestBadInputs(t *testing.T) {
 func TestSaturationSheds429(t *testing.T) {
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	_, ts := newTestServer(t, Options{
+	s, ts := newTestServer(t, Options{
 		Workers:    1,
 		QueueDepth: 1,
 		RetryAfter: 2 * time.Second,
@@ -207,26 +207,27 @@ func TestSaturationSheds429(t *testing.T) {
 		}()
 	}
 	// Wait until the first request is inside its analysis (holding the
-	// worker); the second is then parked in the queue.
+	// worker) and the second is parked in the queue. A probe sent before
+	// the second request parks would take the queue slot itself and wait
+	// for a worker that is held until after the probe.
 	<-entered
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, m, hdr := postJSON(t, ts.URL+"/v1/analyze", req)
-		if code == http.StatusTooManyRequests {
-			if m["code"] != CodeSaturated {
-				t.Fatalf("code %v, want %v", m["code"], CodeSaturated)
-			}
-			// The hint is jittered deterministically into [base, 2*base].
-			if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 2 || ra > 4 {
-				t.Fatalf("Retry-After %q, want 2..4", hdr.Get("Retry-After"))
-			}
-			break
-		}
-		// The queued request may not have parked yet; retry briefly.
+	for s.pool.queued() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("never saw 429 (last status %d %v)", code, m)
+			t.Fatal("second request never parked in the queue")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	code, m, hdr := postJSON(t, ts.URL+"/v1/analyze", req)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("status %d %v, want 429", code, m)
+	}
+	if m["code"] != CodeSaturated {
+		t.Fatalf("code %v, want %v", m["code"], CodeSaturated)
+	}
+	// The hint is jittered deterministically into [base, 2*base].
+	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 2 || ra > 4 {
+		t.Fatalf("Retry-After %q, want 2..4", hdr.Get("Retry-After"))
 	}
 	close(hold)
 	wg.Wait()

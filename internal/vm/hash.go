@@ -112,14 +112,15 @@ func (v *Value) Hash64() uint64 {
 // hashed as its own FNV-1a chain over the same "@addr" + payload bytes the
 // string Fingerprint writes, and the per-cell sums are XOR-combined. Because
 // each chain bakes in the cell's address, the digest identifies the cell set
-// without sorting (and therefore without allocating).
+// whatever order the cells are visited in. State.Hash64 values, and with them
+// memo keys and search counters, depend on this exact combination.
 func (h *Heap) hash64() uint64 {
 	var acc uint64
-	for a, c := range h.cells {
+	for _, s := range h.slots {
 		ch := NewHasher()
 		ch.Byte('@')
-		ch.Int(a)
-		c.v.hashInto(&ch)
+		ch.Int(s.addr)
+		s.c.v.hashInto(&ch)
 		acc ^= ch.Sum64()
 	}
 	return acc

@@ -2,7 +2,7 @@ package vm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -95,11 +95,13 @@ func copyCell(v *Value, gen uint64) *cell {
 // what makes backtracking over transitions that allocate memory possible
 // (§3.2.2 of the paper discusses the cost of exactly this operation).
 //
-// Snapshot is O(1): it shares the cell map between the two heaps and bumps a
-// family-wide generation counter so that neither side owns any existing cell.
-// The first write on either side lazily clones the map container
-// (ensureOwnedMap) and copies just the written cell, so branches that never
-// touch dynamic memory pay nothing for it.
+// Live cells sit in a slice of {addr, *cell} slots sorted by address.
+// Addresses only grow, so Alloc appends; lookups binary-search. Snapshot is
+// O(1): it shares the slot slice between the two heaps and bumps a
+// family-wide generation counter so that neither side owns any existing
+// cell. The first write on either side lazily copies the slot slice (one
+// copy of pointers, ensureOwned) and then just the written cell, so branches
+// that never touch dynamic memory pay nothing for it.
 //
 // Concurrency contract: each Heap (and the State wrapping it) is owned by
 // exactly one goroutine at a time — Snapshot and the write paths mutate the
@@ -110,9 +112,10 @@ func copyCell(v *Value, gen uint64) *cell {
 // work-stealing deque). Family-wide safety rests on three invariants:
 //
 //  1. the generation counter shared by the family is atomic;
-//  2. a cells map referenced by more than one heap is never written — both
-//     sides of a Snapshot carry mapShared=true and clone before their first
-//     write, so mapShared=false implies exclusive map ownership;
+//  2. a slot slice's backing array referenced by more than one heap is never
+//     written — both sides of a Snapshot carry shared=true and copy before
+//     their first write, so shared=false implies exclusive ownership of the
+//     backing array, including any capacity past its length;
 //  3. a cell payload is mutated in place only when cell.gen == heap.gen,
 //     which holds only for cells created or COW-copied by this heap after
 //     its last Snapshot — such cells are reachable from this heap alone.
@@ -120,45 +123,79 @@ func copyCell(v *Value, gen uint64) *cell {
 // The -race tests in this package exercise exactly this cross-goroutine
 // sharing. The parallel search in internal/analysis relies on it.
 type Heap struct {
-	cells map[int64]*cell
+	slots []slot // live cells, strictly increasing addresses
 	next  int64
 
 	// Allocs and Disposes count lifetime operations, for statistics.
 	Allocs, Disposes int64
 
-	gen       uint64         // ownership generation: cells with this gen are exclusively ours
-	genCtr    *atomic.Uint64 // generation counter shared across the snapshot family
-	mapShared bool           // the cells map may be aliased by other heaps in the family
+	gen    uint64         // ownership generation: cells with this gen are exclusively ours
+	genCtr *atomic.Uint64 // generation counter shared across the snapshot family
+	shared bool           // the slots backing array may be aliased by other heaps in the family
+
+	// spare is an exclusively owned, empty slot array that a released heap
+	// left behind (see ReleaseState); ensureOwned copies into it instead of
+	// allocating.
+	spare []slot
+}
+
+// slot is one live cell and its address.
+type slot struct {
+	addr int64
+	c    *cell
 }
 
 // NewHeap returns an empty heap rooting a fresh snapshot family.
 func NewHeap() *Heap {
 	ctr := new(atomic.Uint64)
 	ctr.Store(1)
-	return &Heap{cells: make(map[int64]*cell), next: 1, gen: 1, genCtr: ctr}
+	return &Heap{next: 1, gen: 1, genCtr: ctr}
 }
 
-// ensureOwnedMap makes the cells map exclusively ours, cloning the container
-// (pointers only, not payloads) if a snapshot may still alias it.
-func (h *Heap) ensureOwnedMap() {
-	if !h.mapShared {
+// ownedBuf returns an empty, exclusively owned slot array of capacity at
+// least n, reusing the spare array when it is large enough.
+func (h *Heap) ownedBuf(n int) []slot {
+	buf := h.spare[:0]
+	h.spare = nil
+	if cap(buf) < n {
+		buf = make([]slot, 0, n)
+	}
+	return buf
+}
+
+// ensureOwned makes the slot slice exclusively ours, copying the container
+// (pointers only, not payloads) if a snapshot may still alias it. The copy
+// leaves room for one Alloc.
+func (h *Heap) ensureOwned() {
+	if !h.shared {
 		return
 	}
-	m := newCellMap(len(h.cells))
-	for a, c := range h.cells {
-		m[a] = c
+	h.slots = append(h.ownedBuf(len(h.slots)+1), h.slots...)
+	h.shared = false
+}
+
+// find returns the index of addr's slot and whether it is live; when it is
+// not, the index is where it would be inserted.
+func (h *Heap) find(addr int64) (int, bool) {
+	lo, hi := 0, len(h.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.slots[m].addr < addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	h.cells = m
-	h.mapShared = false
+	return lo, lo < len(h.slots) && h.slots[lo].addr == addr
 }
 
 // Alloc allocates a cell of type t and returns its address. With undef set
 // the new cell's scalars start undefined (partial-trace mode).
 func (h *Heap) Alloc(t *types.Type, undef bool) int64 {
-	h.ensureOwnedMap()
+	h.ensureOwned()
 	addr := h.next
 	h.next++
-	h.cells[addr] = zeroCell(t, undef, h.gen)
+	h.slots = append(h.slots, slot{addr: addr, c: zeroCell(t, undef, h.gen)})
 	h.Allocs++
 	return addr
 }
@@ -166,14 +203,15 @@ func (h *Heap) Alloc(t *types.Type, undef bool) int64 {
 // Get returns the cell at addr for writing, copying it first if a snapshot
 // may still share it. Use Load for read-only access.
 func (h *Heap) Get(addr int64) (*Value, error) {
-	c, err := h.lookup(addr)
+	i, err := h.lookup(addr)
 	if err != nil {
 		return nil, err
 	}
+	c := h.slots[i].c
 	if c.gen != h.gen {
-		h.ensureOwnedMap()
+		h.ensureOwned()
 		c = copyCell(&c.v, h.gen)
-		h.cells[addr] = c
+		h.slots[i].c = c
 	}
 	return &c.v, nil
 }
@@ -181,47 +219,54 @@ func (h *Heap) Get(addr int64) (*Value, error) {
 // Load returns the cell at addr for reading only. The returned value must
 // not be mutated through: it may be shared with snapshots of this heap.
 func (h *Heap) Load(addr int64) (*Value, error) {
-	c, err := h.lookup(addr)
+	i, err := h.lookup(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &c.v, nil
+	return &h.slots[i].c.v, nil
 }
 
-func (h *Heap) lookup(addr int64) (*cell, error) {
+func (h *Heap) lookup(addr int64) (int, error) {
 	if addr == 0 {
-		return nil, fmt.Errorf("nil pointer dereference")
+		return 0, fmt.Errorf("nil pointer dereference")
 	}
-	c, ok := h.cells[addr]
+	i, ok := h.find(addr)
 	if !ok {
-		return nil, fmt.Errorf("dangling pointer dereference (address %d)", addr)
+		return 0, fmt.Errorf("dangling pointer dereference (address %d)", addr)
 	}
-	return c, nil
+	return i, nil
 }
 
-// Dispose frees the cell at addr.
+// Dispose frees the cell at addr. On a shared heap the owned copy of the
+// slot slice is built without the freed slot, in the same pass.
 func (h *Heap) Dispose(addr int64) error {
 	if addr == 0 {
 		return fmt.Errorf("dispose of nil pointer")
 	}
-	if _, ok := h.cells[addr]; !ok {
+	i, ok := h.find(addr)
+	if !ok {
 		return fmt.Errorf("dispose of unallocated address %d", addr)
 	}
-	h.ensureOwnedMap()
-	delete(h.cells, addr)
+	if h.shared {
+		buf := append(h.ownedBuf(len(h.slots)), h.slots[:i]...)
+		h.slots = append(buf, h.slots[i+1:]...)
+		h.shared = false
+	} else {
+		h.slots = slices.Delete(h.slots, i, i+1) // zeroes the vacated tail slot
+	}
 	h.Disposes++
 	return nil
 }
 
 // Len returns the number of live cells.
-func (h *Heap) Len() int { return len(h.cells) }
+func (h *Heap) Len() int { return len(h.slots) }
 
 // Snapshot returns a logically independent copy of the heap in O(1): the
-// cell map is shared and both heaps give up ownership of every existing cell
-// by taking fresh generations, so the first write on either side copies just
-// the cell it touches. Allocation counters carry over so that addresses
-// allocated after a restore do not collide with addresses that may still be
-// referenced by other saved states.
+// slot slice is shared and both heaps give up ownership of every existing
+// cell by taking fresh generations, so the first write on either side copies
+// the slot slice and just the cell it touches. Allocation counters carry
+// over so that addresses allocated after a restore do not collide with
+// addresses that may still be referenced by other saved states.
 func (h *Heap) Snapshot() *Heap {
 	// One atomic bump hands out two fresh generations, one per side; the
 	// counter is the only family-wide mutable datum, so snapshots of
@@ -231,15 +276,16 @@ func (h *Heap) Snapshot() *Heap {
 	h.gen = g - 1
 	out := allocHeap()
 	*out = Heap{
-		cells:     h.cells,
-		next:      h.next,
-		Allocs:    h.Allocs,
-		Disposes:  h.Disposes,
-		gen:       g,
-		genCtr:    h.genCtr,
-		mapShared: true,
+		slots:    h.slots,
+		next:     h.next,
+		Allocs:   h.Allocs,
+		Disposes: h.Disposes,
+		gen:      g,
+		genCtr:   h.genCtr,
+		shared:   true,
+		spare:    out.spare,
 	}
-	h.mapShared = true
+	h.shared = true
 	return out
 }
 
@@ -251,33 +297,28 @@ func (h *Heap) DeepSnapshot() *Heap {
 	ctr := new(atomic.Uint64)
 	ctr.Store(1)
 	out := &Heap{
-		cells:    make(map[int64]*cell, len(h.cells)),
+		slots:    make([]slot, len(h.slots)),
 		next:     h.next,
 		Allocs:   h.Allocs,
 		Disposes: h.Disposes,
 		gen:      1,
 		genCtr:   ctr,
 	}
-	for a, c := range h.cells {
-		out.cells[a] = &cell{v: c.v.Copy(), gen: 1}
+	for i, s := range h.slots {
+		out.slots[i] = slot{addr: s.addr, c: &cell{v: s.c.v.Copy(), gen: 1}}
 	}
 	return out
 }
 
 // Fingerprint writes a canonical representation of the heap reachable-state
-// into sb. Cells are visited in address order; because address allocation is
-// deterministic along any execution path, equal heaps along different paths
-// of the same search produce equal fingerprints whenever their allocation
-// histories coincide.
+// into sb. Cells are visited in address order, which is slot order; because
+// address allocation is deterministic along any execution path, equal heaps
+// along different paths of the same search produce equal fingerprints
+// whenever their allocation histories coincide.
 func (h *Heap) Fingerprint(sb *strings.Builder) {
-	addrs := make([]int64, 0, len(h.cells))
-	for a := range h.cells {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(sb, "@%d", a)
-		h.cells[a].v.Fingerprint(sb)
+	for _, s := range h.slots {
+		fmt.Fprintf(sb, "@%d", s.addr)
+		s.c.v.Fingerprint(sb)
 	}
 }
 
@@ -339,8 +380,8 @@ func (s *State) ApproxBytes() int64 {
 	for i := range s.Globals {
 		total += s.Globals[i].approxBytes()
 	}
-	for _, c := range s.Heap.cells {
-		total += c.v.approxBytes()
+	for _, sl := range s.Heap.slots {
+		total += sl.c.v.approxBytes()
 	}
 	return total
 }

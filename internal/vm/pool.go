@@ -18,7 +18,6 @@ import "sync"
 var (
 	statePool = sync.Pool{New: func() any { return new(State) }}
 	heapPool  = sync.Pool{New: func() any { return new(Heap) }}
-	mapPool   = sync.Pool{New: func() any { return make(map[int64]*cell) }}
 )
 
 func allocState(nglobals int) *State {
@@ -34,17 +33,6 @@ func allocState(nglobals int) *State {
 
 func allocHeap() *Heap {
 	return heapPool.Get().(*Heap)
-}
-
-func newCellMap(size int) map[int64]*cell {
-	m := mapPool.Get().(map[int64]*cell)
-	if len(m) != 0 {
-		for a := range m {
-			delete(m, a)
-		}
-	}
-	_ = size
-	return m
 }
 
 // copyValueInto deep-copies src into dst, reusing dst's Elems and Words
@@ -99,13 +87,15 @@ func ReleaseState(s *State) {
 	}
 	s.pooled = true
 	if h := s.Heap; h != nil {
-		if h.cells != nil && !h.mapShared {
-			for a := range h.cells {
-				delete(h.cells, a)
-			}
-			mapPool.Put(h.cells)
+		// An unshared slot array is exclusively ours (invariant 2 of the
+		// Heap contract), so its capacity stays with the container for the
+		// next ensureOwned; the cell pointers are dropped. Slots past an
+		// owned array's length are always zero.
+		if !h.shared && cap(h.slots) > cap(h.spare) {
+			clear(h.slots)
+			h.spare = h.slots[:0]
 		}
-		*h = Heap{}
+		*h = Heap{spare: h.spare}
 		heapPool.Put(h)
 	}
 	s.Heap = nil

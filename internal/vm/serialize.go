@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"repro/internal/estelle/sema"
@@ -204,15 +205,10 @@ func EncodeState(s *State, tt *TypeTable) ([]byte, error) {
 	e.uvarint(uint64(h.next))
 	e.uvarint(uint64(h.Allocs))
 	e.uvarint(uint64(h.Disposes))
-	addrs := make([]int64, 0, len(h.cells))
-	for a := range h.cells {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.uvarint(uint64(len(addrs)))
-	for _, a := range addrs {
-		e.uvarint(uint64(a))
-		if err := e.value(&h.cells[a].v); err != nil {
+	e.uvarint(uint64(len(h.slots)))
+	for _, sl := range h.slots {
+		e.uvarint(uint64(sl.addr))
+		if err := e.value(&sl.c.v); err != nil {
 			return nil, err
 		}
 	}
@@ -347,6 +343,9 @@ func DecodeState(b []byte, tt *TypeTable) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	if next == 0 || next > math.MaxInt64 {
+		return nil, fmt.Errorf("%w: heap next address %d", ErrBadStateEncoding, next)
+	}
 	s.Heap.next = int64(next)
 	s.Heap.Allocs = int64(allocs)
 	s.Heap.Disposes = int64(disposes)
@@ -357,17 +356,25 @@ func DecodeState(b []byte, tt *TypeTable) (*State, error) {
 	if nc > maxDecodeElems {
 		return nil, fmt.Errorf("%w: %d heap cells", ErrBadStateEncoding, nc)
 	}
+	prev := uint64(0)
 	for i := uint64(0); i < nc; i++ {
 		addr, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
+		// The slot slice must stay strictly address-sorted, and every live
+		// address below next, or a lookup would miss a cell and the next
+		// Alloc would reuse a live address.
+		if addr <= prev || addr >= next {
+			return nil, fmt.Errorf("%w: heap address %d after %d (next %d)", ErrBadStateEncoding, addr, prev, next)
+		}
+		prev = addr
 		var v Value
 		if err := d.value(&v); err != nil {
 			return nil, err
 		}
-		// The fresh heap owns its map and every decoded cell outright.
-		s.Heap.cells[int64(addr)] = &cell{v: v, gen: s.Heap.gen}
+		// The fresh heap owns its slots and every decoded cell outright.
+		s.Heap.slots = append(s.Heap.slots, slot{addr: int64(addr), c: &cell{v: v, gen: s.Heap.gen}})
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadStateEncoding, len(d.buf))

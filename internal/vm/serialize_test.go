@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -145,6 +146,20 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 		"truncated": good[:len(good)/2],
 		"trailing":  append(append([]byte{}, good...), 0x01),
 	}
+	// Heap slots must be strictly address-sorted, nonzero and below next: a
+	// duplicate would silently drop a cell, and an address at or past next
+	// would be overwritten by the next Alloc.
+	for name, mut := range map[string]func(h *Heap){
+		"heap address 0":         func(h *Heap) { h.slots[0].addr = 0 },
+		"duplicate heap address": func(h *Heap) { h.slots[1].addr = h.slots[0].addr },
+		"decreasing heap address": func(h *Heap) {
+			h.slots[0], h.slots[1] = h.slots[1], h.slots[0]
+		},
+		"heap address at next": func(h *Heap) { h.slots[len(h.slots)-1].addr = h.next },
+		"heap next 0":          func(h *Heap) { h.slots, h.next = nil, 0 },
+	} {
+		cases[name] = corruptHeap(t, good, tt, mut)
+	}
 	for name, b := range cases {
 		if _, err := DecodeState(b, tt); !errors.Is(err, ErrBadStateEncoding) {
 			t.Errorf("%s: err = %v, want ErrBadStateEncoding", name, err)
@@ -167,6 +182,25 @@ end.`)
 	if _, err := DecodeState(good, NewTypeTable(other)); !errors.Is(err, ErrBadStateEncoding) {
 		t.Fatalf("cross-program decode: err = %v, want ErrBadStateEncoding", err)
 	}
+}
+
+// corruptHeap decodes good, applies mut to the heap and re-encodes it.
+// EncodeState does not validate, so the result carries the corruption.
+func corruptHeap(t *testing.T, good []byte, tt *TypeTable, mut func(h *Heap)) []byte {
+	t.Helper()
+	s, err := DecodeState(good, tt)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(s.Heap.slots) < 2 {
+		t.Fatalf("want at least 2 heap cells, have %d", len(s.Heap.slots))
+	}
+	mut(s.Heap)
+	b, err := EncodeState(s, tt)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return b
 }
 
 func FuzzDecodeState(f *testing.F) {
@@ -193,9 +227,28 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeState(b, tt)
-		if err == nil {
-			// Whatever decodes must at least fingerprint without panicking.
-			_ = s.Fingerprint()
+		if err != nil {
+			return
+		}
+		// Round-trip law: whatever decodes re-encodes to bytes that decode
+		// to the same state and encode identically.
+		b1, err := EncodeState(s, tt)
+		if err != nil {
+			t.Fatalf("encode of a decoded state: %v", err)
+		}
+		s2, err := DecodeState(b1, tt)
+		if err != nil {
+			t.Fatalf("decode of a re-encoded state: %v", err)
+		}
+		b2, err := EncodeState(s2, tt)
+		if err != nil {
+			t.Fatalf("second encode: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("re-encoding differs:\n%x\n%x", b1, b2)
+		}
+		if s.Fingerprint() != s2.Fingerprint() {
+			t.Fatalf("fingerprint changed across a round trip:\n%q\n%q", s.Fingerprint(), s2.Fingerprint())
 		}
 	})
 }
