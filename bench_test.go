@@ -446,9 +446,10 @@ func BenchmarkTracerOverhead(b *testing.B) {
 // BenchmarkDeepBacktrackAllocs is the headline benchmark of the search-core
 // overhaul: the deep-backtracking invalid TP0 trace analyzed without order
 // checking, under the pre-overhaul eager snapshots, the copy-on-write heap,
-// and COW plus the dead-state memo. allocs/op must drop at least 2x from
-// eager to cow+memo (CI tracks the trend through `tango bench`, which runs
-// the same matrix).
+// COW plus the dead-state memo, and that again on the two-worker parallel
+// engine. allocs/op must drop at least 2x from eager to cow+memo (CI tracks
+// the trend through `tango bench`, which runs the same matrix;
+// TestParallelEdgeAllocs gates the cow+memo/j2 row per TE).
 func BenchmarkDeepBacktrackAllocs(b *testing.B) {
 	spec := compileB(b, "tp0.estelle", specs.TP0)
 	tr, err := experiments.Fig4InvalidTrace(spec, 3)
@@ -462,6 +463,7 @@ func BenchmarkDeepBacktrackAllocs(b *testing.B) {
 		{"eager", analysis.Options{Order: analysis.OrderNone, EagerSnapshots: true}},
 		{"cow", analysis.Options{Order: analysis.OrderNone}},
 		{"cow+memo", analysis.Options{Order: analysis.OrderNone, Memo: true}},
+		{"cow+memo/j2", analysis.Options{Order: analysis.OrderNone, Memo: true, Parallelism: 2}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

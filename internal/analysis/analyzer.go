@@ -1073,9 +1073,14 @@ func (a *Analyzer) maybeBeat(depth int) {
 // generate computes the fireable-transition list of a node (§2.2 Generate).
 // It also determines PG status: in dynamic mode, a node whose transition list
 // is incomplete because an input queue is empty is partially generated.
-func (a *Analyzer) generate(n *node) error {
+func (a *Analyzer) generate(n *node) error { return a.generateInto(n, nil) }
+
+// generateInto is generate with the candidate list appended to buf[:0], so
+// a caller can supply storage that lives in the node's own allocation. buf
+// must not alias a candidate list still in use.
+func (a *Analyzer) generateInto(n *node, buf []candidate) error {
 	a.stats.GE++
-	cands, pg, err := a.computeCandidates(n)
+	cands, pg, err := a.computeCandidates(n, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -1091,7 +1096,8 @@ func (a *Analyzer) generate(n *node) error {
 func (a *Analyzer) regenerate(n *node) error {
 	a.stats.GE++
 	a.stats.Regens++
-	cands, pg, err := a.computeCandidates(n)
+	// Fresh storage: the rebuild below still reads n.cands.
+	cands, pg, err := a.computeCandidates(n, nil)
 	if err != nil {
 		return err
 	}
@@ -1125,8 +1131,9 @@ type candKey struct {
 
 func keyOf(c candidate) candKey { return candKey{c.ti, c.eventIdx} }
 
-func (a *Analyzer) computeCandidates(n *node) ([]candidate, bool, error) {
-	var cands []candidate
+// computeCandidates appends n's fireable candidates to cands and reports
+// whether the list is incomplete for lack of input (the PG criterion).
+func (a *Analyzer) computeCandidates(n *node, cands []candidate) ([]candidate, bool, error) {
 	pg := false
 	// Use the node's authoritative state: a failed in-place execution leaves
 	// n.live past the transition, while n.saved still holds the node's state.
@@ -1478,18 +1485,24 @@ func (a *Analyzer) checkChild(child *node, st *vm.State) (bool, string) {
 // cursors and synthesized-input counts — the hashed counterpart of
 // fingerprintState.
 func (a *Analyzer) hashNode(st *vm.State, n *node) uint64 {
+	return a.hashCursors(st, n.inCur, n.outCur, n.synth)
+}
+
+// hashCursors is hashNode over cursors that need not belong to a node yet,
+// so a search edge can be probed before its child is built.
+func (a *Analyzer) hashCursors(st *vm.State, inCur, outCur, synth []int) uint64 {
 	h := vm.NewHasher()
 	h.Mix64(st.Hash64())
 	for p := 0; p < a.spec.NumIPs(); p++ {
 		h.Byte(':')
-		h.Int(int64(n.inCur[p]))
+		h.Int(int64(inCur[p]))
 		h.Byte(',')
-		h.Int(int64(n.outCur[p]))
+		h.Int(int64(outCur[p]))
 		h.Byte(';')
 	}
-	if n.synth != nil {
+	if synth != nil {
 		h.Byte('|')
-		for _, s := range n.synth {
+		for _, s := range synth {
 			h.Int(int64(s))
 			h.Byte(',')
 		}
@@ -1520,16 +1533,19 @@ func (a *Analyzer) adoptSeed(n *node, sd seed) (*node, bool, error) {
 // childCursors copies n's cursors, consuming c's input event. The three
 // copies share one backing array, each capped at its own length.
 func (a *Analyzer) childCursors(n *node, c candidate) (inCur, outCur, synth []int) {
-	ni, no := len(n.inCur), len(n.outCur)
-	buf := make([]int, ni+no+len(n.synth))
-	inCur = buf[:ni:ni]
-	outCur = buf[ni : ni+no : ni+no]
-	copy(inCur, n.inCur)
-	copy(outCur, n.outCur)
-	if n.synth != nil {
-		synth = buf[ni+no:]
-		copy(synth, n.synth)
-	}
+	return a.childCursorsInto(make([]int, cursorLen(n)), n, c)
+}
+
+// cursorLen is the length of the backing array childCursorsInto needs.
+func cursorLen(n *node) int { return len(n.inCur) + len(n.outCur) + len(n.synth) }
+
+// childCursorsInto is childCursors over caller storage buf of length
+// cursorLen(n).
+func (a *Analyzer) childCursorsInto(buf []int, n *node, c candidate) (inCur, outCur, synth []int) {
+	copy(buf, n.inCur)
+	copy(buf[len(n.inCur):], n.outCur)
+	copy(buf[len(n.inCur)+len(n.outCur):], n.synth)
+	inCur, outCur, synth = splitCursors(buf, n)
 	switch {
 	case c.eventIdx >= 0:
 		ip := a.events[c.eventIdx].IP
@@ -1539,6 +1555,19 @@ func (a *Analyzer) childCursors(n *node, c candidate) (inCur, outCur, synth []in
 			synth[c.ti.WhenIPIndex]++
 		}
 		a.stats.SynthIn++
+	}
+	return inCur, outCur, synth
+}
+
+// splitCursors cuts buf, laid out like n's cursors, into its in, out and
+// synth parts, each capped at its own length; synth is nil exactly when
+// n.synth is.
+func splitCursors(buf []int, n *node) (inCur, outCur, synth []int) {
+	ni, no := len(n.inCur), len(n.outCur)
+	inCur = buf[:ni:ni]
+	outCur = buf[ni : ni+no : ni+no]
+	if n.synth != nil {
+		synth = buf[ni+no:]
 	}
 	return inCur, outCur, synth
 }
@@ -1654,14 +1683,20 @@ func (a *Analyzer) matchOne(o vm.Output, inCur, outCur []int) matchStatus {
 // processes, and therefore what checkpoints and CollisionCheck mode use.
 // The search hot path uses hashNode, the 64-bit digest of the same data.
 func (a *Analyzer) fingerprintState(st *vm.State, n *node) string {
+	return a.fingerprintCursors(st, n.inCur, n.outCur, n.synth)
+}
+
+// fingerprintCursors is fingerprintState over cursors that need not belong
+// to a node yet.
+func (a *Analyzer) fingerprintCursors(st *vm.State, inCur, outCur, synth []int) string {
 	fp := st.Fingerprint()
 	var extra []byte
 	for p := 0; p < a.spec.NumIPs(); p++ {
-		extra = append(extra, byte('0'+n.inCur[p]%10))
-		extra = fmt.Appendf(extra, ":%d,%d;", n.inCur[p], n.outCur[p])
+		extra = append(extra, byte('0'+inCur[p]%10))
+		extra = fmt.Appendf(extra, ":%d,%d;", inCur[p], outCur[p])
 	}
-	if n.synth != nil {
-		extra = fmt.Appendf(extra, "|%v", n.synth)
+	if synth != nil {
+		extra = fmt.Appendf(extra, "|%v", synth)
 	}
 	return fp + string(extra)
 }

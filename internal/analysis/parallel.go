@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -62,23 +63,75 @@ const (
 
 // childRankKey returns the rank key of candidate i's child under a node
 // whose key is parent: parent + "\x02" + 4-byte big-endian i, built with one
-// allocation because the engine makes one per issued edge.
+// allocation.
 func childRankKey(parent string, i int) string {
 	var sb strings.Builder
 	sb.Grow(len(parent) + 5)
 	sb.WriteString(parent)
-	sb.WriteByte(0x02)
-	sb.WriteByte(byte(i >> 24))
-	sb.WriteByte(byte(i >> 16))
-	sb.WriteByte(byte(i >> 8))
-	sb.WriteByte(byte(i))
+	step := rankStep(i)
+	sb.Write(step[:])
 	return sb.String()
 }
 
-// parChild lets a generated child and its sidecar share one allocation.
+// rankStep is the segment candidate i appends to its parent's rank key.
+func rankStep(i int) [5]byte {
+	return [5]byte{0x02, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
+}
+
+// childRankCompare returns strings.Compare(s, childRankKey(parent, i))
+// without building the key.
+func childRankCompare(s, parent string, i int) int {
+	n := min(len(s), len(parent))
+	if c := strings.Compare(s[:n], parent[:n]); c != 0 {
+		return c
+	}
+	if len(s) < len(parent) {
+		return -1
+	}
+	rest, step := s[len(parent):], rankStep(i)
+	for k := 0; k < min(len(rest), len(step)); k++ {
+		if rest[k] != step[k] {
+			return cmp.Compare(rest[k], step[k])
+		}
+	}
+	return cmp.Compare(len(rest), len(step))
+}
+
+// edgeRank is the rank key of one search edge — candidate i under a node
+// whose key is parent. Pruning probes compare against it in place; the key
+// itself is built at most once, and only when something keeps it: a
+// surviving child, a fault record, or a seen-table witness.
+type edgeRank struct {
+	parent string
+	i      int
+	built  string // "" until key runs; a child key is never empty
+}
+
+// compare returns strings.Compare(s, r.key()).
+func (r *edgeRank) compare(s string) int { return childRankCompare(s, r.parent, r.i) }
+
+func (r *edgeRank) key() string {
+	if r.built == "" {
+		r.built = childRankKey(r.parent, r.i)
+	}
+	return r.built
+}
+
+// Inline storage sizes of a parChild: the trace cursors of a spec with up to
+// four IPs, and the first four generated candidates, which covers nearly
+// every node of TP0's Fig. 4 search. Larger nodes spill to the heap.
+const (
+	parInlineCursors = 8
+	parInlineCands   = 4
+)
+
+// parChild lets a surviving child, its sidecar, its cursors and its
+// candidate list share one allocation.
 type parChild struct {
-	n node
-	p parNode
+	n     node
+	p     parNode
+	cur   [parInlineCursors]int
+	cands [parInlineCands]candidate
 }
 
 // parFault is a contained execution fault with its rank position, so the
@@ -169,14 +222,21 @@ func (e *parEngine) forceDone() {
 }
 
 // abandoned reports whether a subtree rooted at a node with this rank key can
-// no longer affect the canonical outcome: an accept is recorded, the node
-// ranks after it, and the node is not an ancestor of it (a prefix of the
-// accept key may still contain a smaller accept). Nodes ranking before the
-// accept run to completion — the same work the sequential engine does before
-// reaching its first accept.
+// no longer affect the canonical outcome: an accept is recorded and the node
+// ranks after it. An ancestor of the accept (whose subtree may still hold a
+// smaller accept) is a prefix of the accept's key, so it never ranks after
+// it. Nodes ranking before the accept run to completion — the same work the
+// sequential engine does before reaching its first accept.
 func (e *parEngine) abandoned(key string) bool {
 	p := e.acceptPtr.Load()
-	return p != nil && key > *p && !strings.HasPrefix(*p, key)
+	return p != nil && key > *p
+}
+
+// abandonedEdge is abandoned for the child of an edge, without building
+// its key.
+func (e *parEngine) abandonedEdge(r *edgeRank) bool {
+	p := e.acceptPtr.Load()
+	return p != nil && r.compare(*p) < 0
 }
 
 func (e *parEngine) recordAccept(n *node) {
@@ -364,6 +424,10 @@ type parWorker struct {
 	dq  *wsDeque
 	ops int
 
+	// cur holds the cursors of the edge being probed, so an edge the seen
+	// table or memo prunes allocates nothing.
+	cur []int
+
 	// Flushed-so-far marks for the heartbeat aggregates.
 	flTE, flNodes, flMemo int64
 
@@ -445,15 +509,14 @@ func (w *parWorker) process(n *node) {
 			w.abandon(n)
 			return
 		}
-		i := n.next
-		childKey := childRankKey(n.par.rkey, i)
-		if e.abandoned(childKey) {
+		rank := edgeRank{parent: n.par.rkey, i: n.next}
+		if e.abandonedEdge(&rank) {
 			// Post-accept: this and every later candidate rank above the
 			// accepted run and cannot be its ancestors.
 			w.abandon(n)
 			return
 		}
-		c := n.cands[i]
+		c := n.cands[rank.i]
 		n.next++
 		var st *vm.State
 		if n.next >= len(n.cands) {
@@ -468,7 +531,7 @@ func (w *parWorker) process(n *node) {
 			// n.next or n.saved.
 			w.dq.push(n)
 		}
-		child := w.runCandidate(n, c, childKey, st)
+		child := w.runCandidate(n, c, rank, st)
 		if child == nil {
 			return
 		}
@@ -494,8 +557,10 @@ func (w *parWorker) abandon(n *node) {
 // runCandidate executes candidate c of task n on the exclusively-owned state
 // st (the parallel Update operation). It returns the generated child when the
 // edge survives — the caller descends into it — and nil otherwise, resolving
-// the edge on every path.
-func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.State) *node {
+// the edge on every path. The edge is probed against the seen table and memo
+// on worker-owned cursors before any child is built, so a pruned edge
+// allocates nothing and a survivor allocates one parChild.
+func (w *parWorker) runCandidate(n *node, c candidate, rank edgeRank, st *vm.State) *node {
 	wa, e := w.wa, w.e
 	w.ops++
 	if w.ops&63 == 0 {
@@ -514,7 +579,7 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 	outs, err := wa.exec.Execute(st, c.ti, c.params)
 	if err != nil {
 		if wa.containedErr(err) {
-			w.harvestFaults(childKey, rankExecFault)
+			w.harvestFaults(&rank, rankExecFault)
 			vm.ReleaseState(st)
 			e.resolve(n, 1)
 			return nil
@@ -524,45 +589,37 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 		e.resolve(n, 1)
 		return nil
 	}
-	inCur, outCur, synth := wa.childCursors(n, c)
+	need := cursorLen(n)
+	if cap(w.cur) < need {
+		w.cur = make([]int, need)
+	}
+	inCur, outCur, synth := wa.childCursorsInto(w.cur[:need], n, c)
 	if wa.matchOutputsWith(outs, inCur, outCur) != matchOK {
 		// Static mode: matchBlocked cannot occur, any non-OK is a mismatch.
 		vm.ReleaseState(st)
 		e.resolve(n, 1)
 		return nil
 	}
-	pc := &parChild{
-		n: node{
-			parent: n,
-			via:    via,
-			saved:  st, // parallel nodes keep their state in saved until finalize
-			inCur:  inCur,
-			outCur: outCur,
-			synth:  synth,
-			depth:  n.depth + 1,
-		},
-		p: parNode{rkey: childKey},
-	}
-	child := &pc.n
-	child.par = &pc.p
 	wa.stats.Nodes++
 	if wa.cov != nil {
 		wa.cov.HitState(st.FSM)
 	}
-	if e.seen != nil || e.memo != nil {
-		child.fp = wa.hashNode(st, child)
-		child.hashed = true
-		canon := func() string { return wa.fingerprintState(st, child) }
+	var fp uint64
+	var canon string
+	hashed := e.seen != nil || e.memo != nil
+	if hashed {
+		fp = wa.hashCursors(st, inCur, outCur, synth)
+		canonOf := func() string { return wa.fingerprintCursors(st, inCur, outCur, synth) }
 		if wa.opts.CollisionCheck && e.memo != nil {
-			child.canon = canon()
+			canon = canonOf()
 		}
-		if e.seen != nil && e.seen.visit(child.fp, childKey, child.depth, canon) {
+		if e.seen != nil && e.seen.visit(fp, &rank, n.depth+1, canonOf) {
 			wa.stats.HashHits++
 			vm.ReleaseState(st)
 			e.resolve(n, 1)
 			return nil
 		}
-		if e.memo != nil && e.memo.dead(child.fp, childKey, func() string { return child.canon }) {
+		if e.memo != nil && e.memo.dead(fp, &rank, func() string { return canon }) {
 			wa.stats.PrunedByMemo++
 			if wa.mMemoPrunes != nil {
 				wa.mMemoPrunes.Inc()
@@ -572,6 +629,26 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 			return nil
 		}
 	}
+	pc := &parChild{
+		n: node{
+			parent: n,
+			via:    via,
+			saved:  st, // parallel nodes keep their state in saved until finalize
+			depth:  n.depth + 1,
+			fp:     fp,
+			hashed: hashed,
+			canon:  canon,
+		},
+		p: parNode{rkey: rank.key()},
+	}
+	child := &pc.n
+	child.par = &pc.p
+	buf := pc.cur[:]
+	if need > len(buf) {
+		buf = make([]int, need)
+	}
+	copy(buf, w.cur[:need])
+	child.inCur, child.outCur, child.synth = splitCursors(buf[:need], n)
 	e.noteBest(child, st)
 	if wa.complete(child) {
 		// Accepting node: its subtree is unexplored, so it (and its chain)
@@ -587,13 +664,13 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 	if child.depth > wa.stats.MaxDepth {
 		wa.stats.MaxDepth = child.depth
 	}
-	if err := wa.generate(child); err != nil {
+	if err := wa.generateInto(child, pc.cands[:]); err != nil {
 		e.fail(err)
 		child.par.trunc.Store(true)
 		e.finalizeLeaf(child)
 		return nil
 	}
-	w.harvestFaults(childKey, rankGenFault)
+	w.harvestFaults(&rank, rankGenFault)
 	if len(child.cands) == 0 {
 		e.finalizeLeaf(child) // dead leaf; memo insert happens in finalize
 		return nil
@@ -603,16 +680,16 @@ func (w *parWorker) runCandidate(n *node, c candidate, childKey string, st *vm.S
 }
 
 // harvestFaults moves the worker's per-op contained-fault messages into the
-// engine's rank-keyed buffer under key childKey+class and clears the worker
-// list, so the per-run maxRecordedFaults cap is applied to the rank-ordered
-// merge rather than to whichever worker filled its list first. The key is
-// built only when there is a fault to file.
-func (w *parWorker) harvestFaults(childKey, class string) {
+// engine's rank-keyed buffer under the edge's key + class and clears the
+// worker list, so the per-run maxRecordedFaults cap is applied to the
+// rank-ordered merge rather than to whichever worker filled its list first.
+// The key is built only when there is a fault to file.
+func (w *parWorker) harvestFaults(rank *edgeRank, class string) {
 	wa := w.wa
 	if len(wa.faults) == 0 {
 		return
 	}
-	e, key := w.e, childKey+class
+	e, key := w.e, rank.key()+class
 	e.faultsMu.Lock()
 	for i, msg := range wa.faults {
 		if len(e.faults) >= maxCollectedFaults {

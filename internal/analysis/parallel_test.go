@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"context"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,5 +237,70 @@ func TestWSDequeTransfers(t *testing.T) {
 	wg.Wait()
 	if got.Load() != total {
 		t.Fatalf("transferred %d nodes, pushed %d", got.Load(), total)
+	}
+}
+
+// TestChildRankCompare pins the in-place rank comparison that the memo,
+// seen table and abandonment checks use to the materialized key order.
+func TestChildRankCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	randKey := func(depth int) string {
+		k := ""
+		for d := 0; d < depth; d++ {
+			k = childRankKey(k, r.Intn(1<<25))
+		}
+		return k
+	}
+	// Bytes that matter to the order: the fault and segment markers, and the
+	// extremes of an index byte.
+	alphabet := []byte{0x00, 0x01, 0x02, 0x03, 0x7f, 0xfe, 0xff}
+	randString := func() string {
+		b := make([]byte, r.Intn(24))
+		for k := range b {
+			b[k] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	check := func(s, parent string, i int) {
+		t.Helper()
+		key := childRankKey(parent, i)
+		if got, want := childRankCompare(s, parent, i), strings.Compare(s, key); got != want {
+			t.Fatalf("childRankCompare(%q, %q, %d) = %d, want %d", s, parent, i, got, want)
+		}
+	}
+	parents := []string{"", randKey(1), randKey(3), randKey(6)}
+	indexes := []int{0, 1, 2, 255, 256, 257, 65535, 65536, 1<<24 - 1, 1 << 24, 1<<24 + 1}
+	for _, parent := range parents {
+		for _, i := range indexes {
+			key := childRankKey(parent, i)
+			if e := (&edgeRank{parent: parent, i: i}); e.key() != key {
+				t.Fatalf("edgeRank.key() = %q, want %q", e.key(), key)
+			}
+			for k := 0; k <= len(parent); k++ {
+				check(parent[:k], parent, i) // proper prefixes, and parent itself
+			}
+			for k := len(parent); k <= len(key); k++ {
+				check(key[:k], parent, i) // partial segments, and the key itself
+			}
+			check(key+rankExecFault, parent, i)
+			check(key+rankGenFault, parent, i)
+			check(childRankKey(key, 0), parent, i)
+			check(childRankKey(childRankKey(key, 300), 7), parent, i)
+			for _, j := range indexes {
+				check(childRankKey(parent, j), parent, i) // siblings
+				check(childRankKey(childRankKey(parent, j), 1), parent, i)
+			}
+			for n := 0; n < 50; n++ {
+				b := []byte(key)
+				b[r.Intn(len(b))] = alphabet[r.Intn(len(alphabet))]
+				check(string(b), parent, i)
+				check(string(b[:r.Intn(len(b)+1)])+randString(), parent, i)
+				check(randString(), parent, i)
+			}
+		}
+	}
+	for n := 0; n < 2000; n++ {
+		check(randString(), randString(), r.Intn(1<<26))
+		check(randKey(r.Intn(4)), randKey(r.Intn(4)), r.Intn(1<<26))
 	}
 }

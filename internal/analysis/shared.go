@@ -57,23 +57,30 @@ func newSharedSeen(paranoid bool) *sharedSeen {
 	return s
 }
 
-// visit reports whether the node (fingerprint h, DFS rank key, depth) must
-// be pruned: only when a recorded witness has strictly smaller rank and no
+// visit reports whether the node (fingerprint h, DFS rank, depth) must be
+// pruned: only when a recorded witness has strictly smaller rank and no
 // greater depth. Otherwise the entry advances toward the minimum rank so
-// later arrivals prune against the earliest-in-sequential-order visit.
-// canon is materialized outside the shard lock (paranoid mode only).
-func (s *sharedSeen) visit(h uint64, rank string, depth int, canon func() string) bool {
+// later arrivals prune against the earliest-in-sequential-order visit; only
+// then is the node's rank key built. canon is materialized outside the shard
+// lock (paranoid mode only).
+func (s *sharedSeen) visit(h uint64, rank *edgeRank, depth int, canon func() string) bool {
 	d := int32(depth)
 	sh := &s.shards[h>>(64-parShardBits)]
 	if !s.paranoid {
 		sh.mu.Lock()
 		prev, ok := sh.m[h]
-		if ok && prev.rank < rank && prev.depth <= d {
+		// order compares the witness's rank with the node's; with no
+		// witness it reads as "witness later", so the node records itself.
+		order := 1
+		if ok {
+			order = rank.compare(prev.rank)
+		}
+		if order < 0 && prev.depth <= d {
 			sh.mu.Unlock()
 			return true
 		}
-		if !ok || rank < prev.rank {
-			sh.m[h] = rankWitness{rank: rank, depth: d}
+		if order > 0 {
+			sh.m[h] = rankWitness{rank: rank.key(), depth: d}
 		}
 		sh.mu.Unlock()
 		return false
@@ -87,9 +94,13 @@ func (s *sharedSeen) visit(h uint64, rank string, depth int, canon func() string
 		sh.byHash[h] = c
 	}
 	prev, ok := sh.mS[c]
-	prune := ok && prev.rank < rank && prev.depth <= d
-	if !prune && (!ok || rank < prev.rank) {
-		sh.mS[c] = rankWitness{rank: rank, depth: d}
+	order := 1
+	if ok {
+		order = rank.compare(prev.rank)
+	}
+	prune := order < 0 && prev.depth <= d
+	if order > 0 {
+		sh.mS[c] = rankWitness{rank: rank.key(), depth: d}
 	}
 	sh.mu.Unlock()
 	if collided {
@@ -137,9 +148,10 @@ func newSharedMemo(budget int64, paranoid bool) *sharedMemo {
 }
 
 // dead reports whether the node was proven non-accepting by a strictly
-// smaller-rank subtree. Hits in the old generation are promoted. canon is
-// materialized outside the shard lock (paranoid mode only).
-func (m *sharedMemo) dead(h uint64, rank string, canon func() string) bool {
+// smaller-rank subtree. Hits in the old generation are promoted. The node's
+// rank is compared in place, never built. canon is materialized outside the
+// shard lock (paranoid mode only).
+func (m *sharedMemo) dead(h uint64, rank *edgeRank, canon func() string) bool {
 	sh := &m.shards[h>>(64-parShardBits)]
 	if !m.paranoid {
 		sh.mu.Lock()
@@ -150,7 +162,7 @@ func (m *sharedMemo) dead(h uint64, rank string, canon func() string) bool {
 			}
 		}
 		sh.mu.Unlock()
-		return ok && prover < rank
+		return ok && rank.compare(prover) < 0
 	}
 	c := canon()
 	sh.mu.Lock()
@@ -161,7 +173,7 @@ func (m *sharedMemo) dead(h uint64, rank string, canon func() string) bool {
 		}
 	}
 	sh.mu.Unlock()
-	return ok && prover < rank
+	return ok && rank.compare(prover) < 0
 }
 
 // insert records a refuted subtree proven by the node with this rank.

@@ -42,13 +42,38 @@ func (h *Hasher) Str(s string) {
 }
 
 // Int folds the decimal representation of i into the hash, matching the
-// bytes "%d" would produce.
+// bytes "%d" would produce. The digits go straight into the FNV chain:
+// small values (trace cursors, FSM ordinals, most heap addresses) take a
+// one- or two-digit path, larger ones are written backwards into a stack
+// buffer and folded forwards.
 func (h *Hasher) Int(i int64) {
-	var buf [20]byte
-	b := strconv.AppendInt(buf[:0], i, 10)
-	for _, c := range b {
-		h.h = (h.h ^ uint64(c)) * fnvPrime64
+	x, u := h.h, uint64(i)
+	if i < 0 {
+		x = (x ^ '-') * fnvPrime64
+		u = -u // two's complement: also right for math.MinInt64
 	}
+	if u < 10 {
+		h.h = (x ^ ('0' + u)) * fnvPrime64
+		return
+	}
+	if u < 100 {
+		x = (x ^ ('0' + u/10)) * fnvPrime64
+		h.h = (x ^ ('0' + u%10)) * fnvPrime64
+		return
+	}
+	var buf [20]byte
+	k := len(buf)
+	for u >= 10 {
+		k--
+		buf[k] = byte('0' + u%10)
+		u /= 10
+	}
+	k--
+	buf[k] = byte('0' + u)
+	for _, c := range buf[k:] {
+		x = (x ^ uint64(c)) * fnvPrime64
+	}
+	h.h = x
 }
 
 // Hex folds the lowercase-hex representation of u into the hash,

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -217,5 +219,41 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	ReleaseState(snap)
 	if got, err := st.Heap.Load(7); err != nil || got.I != 999 {
 		t.Fatalf("original corrupted after ReleaseState: %v %v", got, err)
+	}
+}
+
+// TestHasherIntMatchesDecimal pins Hasher.Int to FNV-1a over the decimal
+// bytes strconv produces, so its digit-folding fast paths leave State.Hash64,
+// memo keys and checkpoints bit-identical.
+func TestHasherIntMatchesDecimal(t *testing.T) {
+	check := func(v int64) {
+		t.Helper()
+		h := NewHasher()
+		h.Byte('x') // a non-initial chain position
+		h.Int(v)
+		want := fnv1aString("x" + strconv.FormatInt(v, 10))
+		if got := h.Sum64(); got != want {
+			t.Fatalf("Int(%d) = %#x, want %#x", v, got, want)
+		}
+	}
+	for v := int64(0); v <= 1000; v++ {
+		check(v)
+	}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		for _, v := range []int64{p - 1, p, p + 1} {
+			check(v)
+			check(-v)
+		}
+	}
+	check(math.MinInt64)
+	check(math.MinInt64 + 1)
+	check(math.MaxInt64)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 10000; i++ {
+		v := int64(r.Uint64())
+		if i%2 == 0 {
+			v >>= uint(r.Intn(64)) // spread the digit counts
+		}
+		check(v)
 	}
 }
